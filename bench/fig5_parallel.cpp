@@ -57,8 +57,10 @@ int main(int argc, char** argv) {
   truth_options.chain_options = {.steps_per_sample = k,
                                  .burn_in = DefaultBurnIn(n),
                                  .seed = DeriveSeed(master, 2)};
-  const pdb::QueryAnswer truth = pdb::EvaluateParallel(
-      *bench.tokens.pdb, *truth_plan, factory, truth_options);
+  const pdb::QueryAnswer truth =
+      pdb::EvaluateParallelMulti(*bench.tokens.pdb, {truth_plan.get()},
+                                 factory, truth_options)
+          .answers[0];
 
   TablePrinter table({"chains", "squared error", "ideal (err1/B)",
                       "improvement", "samples total", "setup ms"});
@@ -80,11 +82,12 @@ int main(int argc, char** argv) {
                                .seed = DeriveSeed(master,
                                                   3 + static_cast<uint64_t>(r))};
       options.use_threads = true;
+      const ra::PlanPtr plan =
+          sql::PlanQuery(ie::kQuery1, bench.tokens.pdb->db());
       const pdb::QueryAnswer answer =
-          pdb::EvaluateParallel(*bench.tokens.pdb,
-                                *sql::PlanQuery(ie::kQuery1,
-                                                bench.tokens.pdb->db()),
-                                factory, options);
+          pdb::EvaluateParallelMulti(*bench.tokens.pdb, {plan.get()}, factory,
+                                     options)
+              .answers[0];
       err += answer.SquaredError(truth);
       total_samples = answer.num_samples();
     }

@@ -38,18 +38,19 @@ int main(int argc, char** argv) {
     auto world = bench.tokens.pdb->Clone();
     ra::PlanPtr plan = sql::PlanQuery(query, world->db());
     auto proposal = bench.MakeProposal();
-    pdb::MaterializedQueryEvaluator evaluator(
-        world.get(), proposal.get(), plan.get(),
+    pdb::SharedChainEvaluator evaluator(
+        world.get(), proposal.get(),
         {.steps_per_sample = k,
          .burn_in = 0,
          .seed = DeriveSeed(master, stream + 1)});
+    evaluator.AddQuery(plan.get());
     Series series;
     Stopwatch timer;
     evaluator.Initialize();
     for (uint64_t i = 0; i < samples; ++i) {
       evaluator.DrawSample();
       series.seconds.push_back(timer.ElapsedSeconds());
-      series.loss.push_back(evaluator.answer().SquaredError(truth));
+      series.loss.push_back(evaluator.answer(0).SquaredError(truth));
     }
     return series;
   };

@@ -27,14 +27,15 @@ int main(int argc, char** argv) {
   auto world = bench.tokens.pdb->Clone();
   ra::PlanPtr plan = sql::PlanQuery(ie::kQuery4, world->db());
   auto proposal = bench.MakeProposal();
-  pdb::MaterializedQueryEvaluator evaluator(
-      world.get(), proposal.get(), plan.get(),
+  pdb::SharedChainEvaluator evaluator(
+      world.get(), proposal.get(),
       {.steps_per_sample = 10 * k,
        .burn_in = DefaultBurnIn(n),
        .seed = DeriveSeed(master, 1)});
+  evaluator.AddQuery(plan.get());
   evaluator.Run(1500);
 
-  auto answer = evaluator.answer().Sorted();
+  auto answer = evaluator.answer(0).Sorted();
   std::sort(answer.begin(), answer.end(),
             [](const auto& a, const auto& b) { return a.second > b.second; });
 
@@ -67,13 +68,14 @@ int main(int argc, char** argv) {
   auto world2 = bench.tokens.pdb->Clone();
   ra::PlanPtr plan2 = sql::PlanQuery(kQuery4PerDoc, world2->db());
   auto proposal2 = bench.MakeProposal();
-  pdb::MaterializedQueryEvaluator evaluator2(
-      world2.get(), proposal2.get(), plan2.get(),
+  pdb::SharedChainEvaluator evaluator2(
+      world2.get(), proposal2.get(),
       {.steps_per_sample = 10 * k,
        .burn_in = DefaultBurnIn(n),
        .seed = DeriveSeed(master, 2)});
+  evaluator2.AddQuery(plan2.get());
   evaluator2.Run(1500);
-  auto per_doc = evaluator2.answer().Sorted();
+  auto per_doc = evaluator2.answer(0).Sorted();
   std::sort(per_doc.begin(), per_doc.end(),
             [](const auto& a, const auto& b) { return a.second > b.second; });
   std::cout << "\nPer-document refinement (DOC_ID, STRING) — probability "

@@ -31,13 +31,13 @@ StandaloneResult RunStandalone(const NerBench& bench, const char* query,
   auto world = bench.tokens.pdb->Clone();
   ra::PlanPtr plan = sql::PlanQuery(query, world->db());
   auto proposal = bench.MakeProposal();
-  pdb::MaterializedQueryEvaluator evaluator(world.get(), proposal.get(),
-                                            plan.get(), options);
+  pdb::SharedChainEvaluator evaluator(world.get(), proposal.get(), options);
+  evaluator.AddQuery(plan.get());
   Stopwatch timer;
   evaluator.Run(kSamples);
   StandaloneResult result;
   result.seconds = timer.ElapsedSeconds();
-  result.answer = evaluator.answer();
+  result.answer = evaluator.answer(0);
   return result;
 }
 

@@ -139,7 +139,6 @@ uint64_t Session::RunParallelRound(uint64_t samples_per_chain,
   parallel.num_chains = num_chains;
   parallel.samples_per_chain = samples_per_chain;
   parallel.chain_options = options_.evaluator;
-  parallel.materialized = true;
   parallel.use_threads = options_.policy.use_threads;
   parallel.max_threads = options_.policy.max_threads;
   parallel.track_chain_stats = track_stats;

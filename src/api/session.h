@@ -21,13 +21,13 @@
 // ResultHandle::Snapshot() reads marginals, sample counts, and
 // acceptance-rate progress per query mid-run.
 //
-// A single ExecutionPolicy replaces the previously divergent
-// MaterializedQueryEvaluator / EvaluateParallel call paths (both remain as
-// internals):
+// A single ExecutionPolicy picks how the one evaluator
+// (pdb::SharedChainEvaluator) runs:
 //
 //   serial    — one shared chain, delta-maintained views (Alg. 1)
-//   parallel  — num_chains COW-snapshot chains, each maintaining ALL
-//               registered views; per-query answers merged as chains finish
+//   parallel  — num_chains COW-snapshot chains (pdb::EvaluateParallelMulti),
+//               each maintaining ALL registered views with Alg. 1;
+//               per-query answers merged as chains finish
 //   naive     — one shared chain, full query per sample (Alg. 3 baseline)
 //
 // Thread-safety contract: a Session is externally synchronized — call it

@@ -75,32 +75,6 @@ class Model {
     return false;
   }
 
-  /// Cache warm-up hints for an upcoming scoring call at `var`. Both are
-  /// best-effort and semantically no-ops: they may issue non-binding
-  /// prefetches but never change any result, so callers are free to hint
-  /// speculatively (e.g. for a *predicted* next site — a wrong prediction
-  /// just wastes one prefetch). The contract splits in two because hints
-  /// differ in what they may dereference:
-  ///
-  ///   PrefetchSite(var)        — address arithmetic only; never loads
-  ///                              through memory that might be cold. Safe
-  ///                              for sites that will be visited a step in
-  ///                              the future (their lines are still cold).
-  ///   PrefetchSiteOperands(var) — may read the site's (already-warmed)
-  ///                              primary record to hint its dependent
-  ///                              lines: weight-table rows, adjacency
-  ///                              spans. Call it for the site about to be
-  ///                              scored, after PrefetchSite had a step of
-  ///                              lead time.
-  virtual void PrefetchSite(const World& world, VarId var) const {
-    (void)world;
-    (void)var;
-  }
-  virtual void PrefetchSiteOperands(const World& world, VarId var) const {
-    (void)world;
-    (void)var;
-  }
-
   /// Unnormalized log π(w) over the *entire* graph. Potentially expensive —
   /// used by exact inference, tests, and diagnostics, never by the sampler.
   virtual double LogScore(const World& world) const = 0;

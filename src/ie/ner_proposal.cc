@@ -25,7 +25,7 @@ void DocumentBatchProposal::ReloadBatch(Rng& rng) {
   proposals_since_reload_ = 0;
 }
 
-void DocumentBatchProposal::Propose(const factor::World& world, Rng& rng,
+void DocumentBatchProposal::Propose(const factor::World& /*world*/, Rng& rng,
                                     factor::Change* change,
                                     double* log_ratio) {
   *log_ratio = 0.0;
@@ -39,25 +39,6 @@ void DocumentBatchProposal::Propose(const factor::World& world, Rng& rng,
   // buffer is reused — propose allocates only on the (rare) batch reload.
   const factor::VarId var = batch_[rng.UniformInt(batch_.size())];
   const uint32_t label = static_cast<uint32_t>(rng.UniformInt(kNumLabels));
-  if (prefetch_model_ != nullptr) {
-    // Pipeline the next proposal's site: between this draw pair and the
-    // next site draw the sampler consumes 0 draws (accepted outright or
-    // rejected at log_alpha >= 0) or 1 (the acceptance Uniform). Peek
-    // cloned rngs down both branches and warm the predicted records while
-    // the current site scores; a mispredicted branch — or a batch reload
-    // landing in between — just wastes one prefetch. The real stream is
-    // never advanced.
-    Rng peek0 = rng;
-    prefetch_model_->PrefetchSite(world,
-                                  batch_[peek0.UniformInt(batch_.size())]);
-    Rng peek1 = rng;
-    peek1.Next();
-    prefetch_model_->PrefetchSite(world,
-                                  batch_[peek1.UniformInt(batch_.size())]);
-    // The current site's record was warmed one proposal ago; chase it one
-    // level deeper (weight row, partner span) before the scoring call.
-    prefetch_model_->PrefetchSiteOperands(world, var);
-  }
   change->Set(var, label);
 }
 

@@ -36,16 +36,6 @@ class DocumentBatchProposal final : public infer::Proposal {
   void Propose(const factor::World& world, Rng& rng, factor::Change* change,
                double* log_ratio) override;
 
-  /// Enables cache-prefetch hints against `model` (nullptr disables, the
-  /// default): after drawing a site, Propose predicts the NEXT proposal's
-  /// site by peeking CLONED rngs down both acceptance branches (0 or 1
-  /// intervening draws) and warms its hot record, then deep-warms the
-  /// current site's scoring operands. Purely a hint — the real rng stream
-  /// and the proposed change are bitwise unchanged, so trajectories are
-  /// identical with prefetching on or off. `model` must outlive the
-  /// proposal.
-  void EnablePrefetch(const factor::Model* model) { prefetch_model_ = model; }
-
   /// Variables in the current batch (empty before the first proposal).
   const std::vector<factor::VarId>& batch() const { return batch_; }
 
@@ -54,7 +44,6 @@ class DocumentBatchProposal final : public infer::Proposal {
 
   const std::vector<std::vector<factor::VarId>>* docs_;
   NerProposalOptions options_;
-  const factor::Model* prefetch_model_ = nullptr;
   std::vector<factor::VarId> batch_;
   size_t proposals_since_reload_ = 0;
 };

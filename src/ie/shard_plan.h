@@ -31,8 +31,10 @@ struct DocumentShardOptions {
 /// [s·D/S, (s+1)·D/S) and proposes via a DocumentBatchProposal over that
 /// block. The plan owns the per-shard document lists (the factory closure
 /// keeps them alive), so it may outlive `tokens`' docs vector but NOT the
-/// database/model. A single-shard plan (requested or fallen back to)
-/// proposes over all documents — bitwise-identical to the serial kernel.
+/// database/model. Each proposal points into those lists: it is valid only
+/// while some copy of `make_proposal` lives. A single-shard plan (requested
+/// or fallen back to) proposes over all documents — bitwise-identical to
+/// the serial kernel.
 pdb::ShardPlan BuildDocumentShardPlan(const TokenPdb& tokens,
                                       const factor::Model& model,
                                       DocumentShardOptions options = {});

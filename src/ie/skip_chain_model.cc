@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "ie/ner_features.h"
-#include "util/cacheline.h"
 #include "util/logging.h"
 
 namespace fgpdb {
@@ -230,31 +229,6 @@ bool SkipChainNerModel::ConditionalRow(const factor::World& world,
     ConditionalRowImpl(var, out, WorldLabels{&world});
   }
   return true;
-}
-
-void SkipChainNerModel::PrefetchSite(const factor::World& world,
-                                     VarId var) const {
-  // Address arithmetic only — safe for a speculatively predicted future
-  // site whose lines are still cold.
-  PrefetchRead(hot_->records.data() + var);
-  if (const uint8_t* shadow = world.label_shadow()) {
-    PrefetchRead(shadow + var);
-  }
-}
-
-void SkipChainNerModel::PrefetchSiteOperands(const factor::World& world,
-                                             VarId var) const {
-  (void)world;
-  // Reads the (warmed) hot record to hint the dependent lines the scoring
-  // call is about to chase: the node-table row (9 doubles — may straddle
-  // two lines) and the head of the skip-partner span.
-  const TokenHotBlock::Record& rec = hot_->records[var];
-  const double* node_row =
-      node_table_ + static_cast<size_t>(rec.string_id) * kNumLabels;
-  PrefetchRead(node_row);
-  PrefetchRead(node_row + kNumLabels - 1);
-  const VarId* partners = hot_->partners_begin(var);
-  if (partners != hot_->partners_end(var)) PrefetchRead(partners);
 }
 
 double SkipChainNerModel::CompiledLogScoreDelta(const factor::World& world,

@@ -90,15 +90,6 @@ class SkipChainNerModel final : public factor::FeatureModel {
   bool ConditionalRow(const factor::World& world, factor::VarId var,
                       double* out,
                       factor::ScoreScratch* scratch) const override;
-  /// Cache hints (see factor::Model): PrefetchSite touches the variable's
-  /// 16-byte hot record and its label-shadow byte (address arithmetic
-  /// only — safe for a speculatively predicted future site);
-  /// PrefetchSiteOperands reads the warmed record to hint the node-table
-  /// row and the skip-partner span for the variable about to be scored.
-  void PrefetchSite(const factor::World& world,
-                    factor::VarId var) const override;
-  void PrefetchSiteOperands(const factor::World& world,
-                            factor::VarId var) const override;
   std::unique_ptr<factor::ScoreScratch> MakeScratch() const override;
   double LogScore(const factor::World& world) const override;
   /// Locality for sharded execution: node factors are single-variable,

@@ -144,10 +144,10 @@ size_t MetropolisHastings::StepBatchImpl(size_t n) {
   // lane is bitwise the per-candidate LogScoreDelta, which is exactly what
   // the two-call reference path would recompute). Draw order and FP
   // arithmetic replicate GibbsProposal::Propose + the generic loop below
-  // term-for-term, so the trajectory is bitwise-identical to row_gibbs_
-  // == false; only the second scoring pass disappears.
-  if (row_gibbs_ && proposal_->IsSingleSiteGibbs() &&
-      model_.num_variables() > 0) {
+  // term-for-term, so the trajectory is bitwise-identical to the same
+  // steps taken one Step() at a time; only the second scoring pass
+  // disappears.
+  if (proposal_->IsSingleSiteGibbs() && model_.num_variables() > 0) {
     for (size_t i = 0; i < n; ++i) {
       if constexpr (kTimed) {
         phase_timer->Reset();
@@ -155,24 +155,6 @@ size_t MetropolisHastings::StepBatchImpl(size_t n) {
       }
       ++num_proposed_;
       const factor::VarId var = proposal_->DrawGibbsSite(*world_, rng_);
-      if (prefetch_) {
-        // Warm step i+1's site while step i scores. The stream distance to
-        // the next site draw is 1 draw (the conditional's Categorical) or
-        // 2 (+ the acceptance draw, taken only when FP round-off pushes
-        // log_alpha below 0), so peek cloned rngs down BOTH branches; the
-        // mispredicted one costs a harmless extra prefetch and the real
-        // stream is never advanced.
-        Rng peek1 = rng_;
-        peek1.Next();
-        model_.PrefetchSite(*world_, proposal_->DrawGibbsSite(*world_, peek1));
-        Rng peek2 = rng_;
-        peek2.Next();
-        peek2.Next();
-        model_.PrefetchSite(*world_, proposal_->DrawGibbsSite(*world_, peek2));
-        // Site i's record was prefetched one step ago; now chase it one
-        // level deeper (weight row, partner span) before scoring.
-        model_.PrefetchSiteOperands(*world_, var);
-      }
       const size_t k = model_.domain_size(var);
       row_buf_.resize(k);
       const uint32_t old_value = world_->Get(var);

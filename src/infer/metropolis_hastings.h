@@ -16,6 +16,15 @@
 // single Steps — the concatenation of the per-step applied records — so the
 // database mirror, the coalesced deltas, and every downstream view and
 // marginal are bitwise-identical; only the crossing count is amortized.
+//
+// For a proposal that declares itself single-site Gibbs
+// (Proposal::IsSingleSiteGibbs), Step(n) runs the row-driven kernel: it
+// samples the candidate straight from the model's vectorized ConditionalRow
+// — one scoring pass per step instead of Propose's row fill plus a second
+// LogScoreDelta for the acceptance test. It replicates the two-call
+// reference (GibbsProposal::Propose + the generic step, which single Step()
+// always runs) draw-for-draw and FP-op-for-FP-op, so accepted jumps,
+// applied streams, and final worlds are bitwise-identical.
 #ifndef FGPDB_INFER_METROPOLIS_HASTINGS_H_
 #define FGPDB_INFER_METROPOLIS_HASTINGS_H_
 
@@ -117,27 +126,6 @@ class MetropolisHastings {
   /// profiling runs. `totals` must outlive the attachment.
   void set_phase_totals(StepPhaseTotals* totals) { phase_totals_ = totals; }
 
-  /// Row-driven Gibbs kernel (default on): when the proposal declares
-  /// itself single-site Gibbs (Proposal::IsSingleSiteGibbs), Step(n)
-  /// samples the candidate directly from the model's vectorized
-  /// ConditionalRow inside the batch loop — one scoring pass per step
-  /// instead of Propose's row fill plus a second LogScoreDelta for the
-  /// acceptance test. The fused path replicates the reference pair
-  /// (GibbsProposal::Propose + the two-call step) draw-for-draw and
-  /// FP-op-for-FP-op, so accepted jumps, applied streams, and final worlds
-  /// are bitwise-identical; false keeps the two-call path (the parity
-  /// reference and ablation). Non-Gibbs proposals are unaffected.
-  void set_row_gibbs(bool on) { row_gibbs_ = on; }
-  bool row_gibbs() const { return row_gibbs_; }
-
-  /// Software-prefetch pipelining in the fused Gibbs kernel (default off):
-  /// predicts step t+1's site by peeking CLONED rngs down both acceptance
-  /// branches (the real stream is never touched) and warms its hot lines
-  /// via Model::PrefetchSite while site t scores, then deep-warms site t's
-  /// operands. Purely a cache hint: trajectories are bitwise unchanged.
-  void set_prefetch(bool on) { prefetch_ = on; }
-  bool prefetch() const { return prefetch_; }
-
  private:
   const factor::Model& model_;
   factor::World* world_;
@@ -169,8 +157,6 @@ class MetropolisHastings {
   std::vector<double> row_buf_;
   std::vector<double> prob_buf_;
   factor::Change fused_change_;
-  bool row_gibbs_ = true;
-  bool prefetch_ = false;
   size_t mirror_batch_limit_ = 4096;
   uint64_t num_proposed_ = 0;
   uint64_t num_accepted_ = 0;

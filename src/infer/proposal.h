@@ -46,15 +46,14 @@ class Proposal {
   /// Propose() draws a site via DrawGibbsSite, then resamples it from its
   /// full conditional (one LogCategorical draw), with the proposal-ratio
   /// correction that makes MH acceptance ≈ 1. Declaring this lets the
-  /// batched sampler fuse propose/score/accept into its row-driven kernel
-  /// (MetropolisHastings::set_row_gibbs), which replicates the declared
-  /// draw order and floating-point arithmetic bitwise.
+  /// batched sampler (MetropolisHastings::Step(n)) fuse propose/score/accept
+  /// into its row-driven kernel, which replicates the declared draw order
+  /// and floating-point arithmetic bitwise.
   virtual bool IsSingleSiteGibbs() const { return false; }
 
-  /// The Gibbs kernel's site-selection draw. Must be a pure function of
-  /// (world, rng state) with no proposal-state side effects: the fused
-  /// kernel also invokes it on *cloned* rngs to predict the next site for
-  /// cache prefetching, and a side effect would fire once per prediction.
+  /// The Gibbs kernel's site-selection draw: exactly the draws Propose()
+  /// makes before filling the conditional row, so the fused kernel consumes
+  /// the same rng stream as the two-call path.
   virtual factor::VarId DrawGibbsSite(const factor::World& world, Rng& rng) {
     (void)world;
     (void)rng;

@@ -26,10 +26,10 @@ struct ChainResult {
 // inside this call, so a pool running T worker threads holds at most T
 // worlds at a time no matter how many chains are requested.
 //
-// Materialized chains each compile their own views, which matters for the
-// routed delta pipeline: the subscription maps, routing masks, reusable
-// operator buffers, and the TupleArena are per-view state owned by exactly
-// one chain — nothing in the delta path is shared across threads, so chains
+// Chains each compile their own views, which matters for the routed delta
+// pipeline: the subscription maps, routing masks, reusable operator
+// buffers, and the TupleArena are per-view state owned by exactly one
+// chain — nothing in the delta path is shared across threads, so chains
 // apply deltas without synchronization.
 ChainResult RunChain(const ProbabilisticDatabase& pdb,
                      const std::vector<const ra::PlanNode*>& plans,
@@ -47,8 +47,7 @@ ChainResult RunChain(const ProbabilisticDatabase& pdb,
       options.shard_plan != nullptr && options.shard_plan->has_plan();
   std::unique_ptr<infer::Proposal> proposal;
   if (!sharded) proposal = make_proposal(*world);
-  SharedChainEvaluator evaluator(world.get(), proposal.get(), chain_options,
-                                 options.materialized);
+  SharedChainEvaluator evaluator(world.get(), proposal.get(), chain_options);
   if (sharded) {
     // Shard streams derive from the salted chain seed, so the B×S grid of
     // RNG streams is a pure function of (base seed, salt, chain, shard).
@@ -121,15 +120,6 @@ MultiQueryAnswer EvaluateParallelMulti(
     }
   }
   return merged;
-}
-
-QueryAnswer EvaluateParallel(const ProbabilisticDatabase& pdb,
-                             const ra::PlanNode& plan,
-                             const ProposalFactory& make_proposal,
-                             const ParallelOptions& options) {
-  MultiQueryAnswer merged =
-      EvaluateParallelMulti(pdb, {&plan}, make_proposal, options);
-  return std::move(merged.answers[0]);
 }
 
 }  // namespace pdb

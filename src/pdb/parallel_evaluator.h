@@ -22,9 +22,12 @@
 #include <memory>
 #include <vector>
 
+#include "infer/proposal.h"
 #include "pdb/convergence_stats.h"
+#include "pdb/probabilistic_database.h"
 #include "pdb/query_evaluator.h"
 #include "pdb/shard_plan.h"
+#include "ra/plan.h"
 
 namespace fgpdb {
 namespace pdb {
@@ -33,8 +36,6 @@ struct ParallelOptions {
   size_t num_chains = 4;
   uint64_t samples_per_chain = 100;
   EvaluatorOptions chain_options;
-  /// Evaluate with view maintenance (Alg. 1) or the naive path (Alg. 3).
-  bool materialized = true;
   /// Run chains on worker threads; false = sequential (deterministic order,
   /// useful with a single core or in tests).
   bool use_threads = true;
@@ -65,14 +66,6 @@ struct ParallelOptions {
 using ProposalFactory =
     std::function<std::unique_ptr<infer::Proposal>(ProbabilisticDatabase&)>;
 
-/// Snapshots `pdb` into `options.num_chains` copy-on-write worlds, runs each
-/// chain for `samples_per_chain` samples on a hardware-sized thread pool,
-/// and returns the merged (averaged) answer. `pdb` itself is never mutated.
-QueryAnswer EvaluateParallel(const ProbabilisticDatabase& pdb,
-                             const ra::PlanNode& plan,
-                             const ProposalFactory& make_proposal,
-                             const ParallelOptions& options);
-
 /// Result of a multi-query parallel evaluation: one merged answer per plan
 /// (index-aligned with the input), plus aggregate chain statistics for
 /// progress reporting.
@@ -94,15 +87,18 @@ struct MultiQueryAnswer {
   }
 };
 
-/// The multi-query form of EvaluateParallel — the §4.2 economy extended to
-/// §5.4: every chain maintains ALL the plans' views on its single sampler
-/// (one delta drain fanned out per interval), so K queries over B chains
-/// cost B sampling passes instead of K·B. Per-plan merged answers are
-/// bitwise-identical to K separate EvaluateParallel calls with the same
-/// options, because the chain trajectory never depends on the registered
-/// queries. `plans` must be non-empty; `seed_salt` offsets every chain's
-/// seed (distinct salts give independent chain batches, e.g. across
-/// successive Session::Run epochs).
+/// Snapshots `pdb` into `options.num_chains` copy-on-write worlds, runs each
+/// chain for `samples_per_chain` samples on a hardware-sized thread pool,
+/// and returns the merged (averaged) answer per plan. `pdb` itself is never
+/// mutated. Every chain runs Algorithm 1 and maintains ALL the plans' views
+/// on its single sampler (one delta drain fanned out per interval) — the
+/// §4.2 economy extended to §5.4 — so K queries over B chains cost B
+/// sampling passes instead of K·B. Per-plan merged answers are
+/// bitwise-identical to K separate single-plan calls with the same options,
+/// because the chain trajectory never depends on the registered queries.
+/// `plans` must be non-empty; `seed_salt` offsets every chain's seed
+/// (distinct salts give independent chain batches, e.g. across successive
+/// Session::Run epochs).
 MultiQueryAnswer EvaluateParallelMulti(
     const ProbabilisticDatabase& pdb,
     const std::vector<const ra::PlanNode*>& plans,

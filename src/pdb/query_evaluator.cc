@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "ra/executor.h"
-#include "util/stopwatch.h"
-#include "util/logging.h"
-
 namespace fgpdb {
 namespace pdb {
 
@@ -65,123 +61,6 @@ double QueryAnswer::SquaredError(const QueryAnswer& truth) const {
     total += d * d;
   }
   return total;
-}
-
-void QueryEvaluator::Run(uint64_t n) {
-  if (!initialized()) Initialize();
-  for (uint64_t i = 0; i < n; ++i) DrawSample();
-}
-
-namespace {
-
-std::vector<Tuple> DistinctTuples(const std::vector<Tuple>& bag) {
-  std::unordered_set<Tuple, TupleHasher> seen;
-  std::vector<Tuple> out;
-  for (const Tuple& t : bag) {
-    if (seen.insert(t).second) out.push_back(t);
-  }
-  return out;
-}
-
-}  // namespace
-
-// --- Naive (Algorithm 3) ----------------------------------------------------
-
-NaiveQueryEvaluator::NaiveQueryEvaluator(ProbabilisticDatabase* pdb,
-                                         infer::Proposal* proposal,
-                                         const ra::PlanNode* plan,
-                                         EvaluatorOptions options)
-    : pdb_(pdb), plan_(plan), options_(options) {
-  FGPDB_CHECK(pdb_ != nullptr);
-  FGPDB_CHECK(plan_ != nullptr);
-  sampler_ = pdb_->MakeSampler(proposal, options_.seed);
-}
-
-void NaiveQueryEvaluator::Initialize() {
-  FGPDB_CHECK(!initialized_);
-  sampler_->Run(options_.burn_in);
-  pdb_->DiscardDeltas();  // The naive path never consumes deltas.
-  initialized_ = true;
-}
-
-void NaiveQueryEvaluator::DrawSample() {
-  FGPDB_CHECK(initialized_);
-  sampler_->Run(options_.steps_per_sample);
-  pdb_->DiscardDeltas();
-  // Full query over the sampled world — the expensive step Alg. 1 removes.
-  answer_.ObserveSampleContaining(
-      DistinctTuples(ra::Execute(*plan_, pdb_->db())));
-}
-
-std::vector<Tuple> NaiveQueryEvaluator::CurrentAnswerSet() const {
-  return DistinctTuples(ra::Execute(*plan_, pdb_->db()));
-}
-
-// --- Materialized (Algorithm 1) ----------------------------------------------
-
-MaterializedQueryEvaluator::MaterializedQueryEvaluator(
-    ProbabilisticDatabase* pdb, infer::Proposal* proposal,
-    const ra::PlanNode* plan, EvaluatorOptions options)
-    : pdb_(pdb),
-      options_(options),
-      view_(*plan),
-      steps_per_sample_(options.steps_per_sample) {
-  FGPDB_CHECK(pdb_ != nullptr);
-  sampler_ = pdb_->MakeSampler(proposal, options_.seed);
-}
-
-void MaterializedQueryEvaluator::Initialize() {
-  FGPDB_CHECK(!initialized_);
-  sampler_->Run(options_.burn_in);
-  pdb_->DiscardDeltas();
-  // The one exhaustive query over the initial world (Alg. 1 line 2).
-  view_.Initialize(pdb_->db());
-  initialized_ = true;
-}
-
-void MaterializedQueryEvaluator::DrawSample() {
-  FGPDB_CHECK(initialized_);
-  Stopwatch walk_timer;
-  sampler_->Run(steps_per_sample_);
-  const double walk_seconds = walk_timer.ElapsedSeconds();
-  // Fold Δ−/Δ+ through the view instead of re-running the query
-  // (Alg. 1 line 5: s ← s − Q'(w,Δ−) ∪ Q'(w,Δ+)). TakeDeltas drains the
-  // row-granular accumulator into the reused buffer; Apply routes each
-  // table's delta only to the subscribed subtrees.
-  Stopwatch apply_timer;
-  pdb_->TakeDeltas(&delta_buf_);
-  view_.Apply(delta_buf_);
-  last_apply_seconds_ = apply_timer.ElapsedSeconds();
-  std::vector<Tuple> distinct;
-  distinct.reserve(view_.contents().distinct_size());
-  view_.contents().ForEach(
-      [&](const Tuple& t, int64_t) { distinct.push_back(t); });
-  answer_.ObserveSampleContaining(distinct);
-
-  if (options_.adaptive_thinning) {
-    // Steer the per-sample share of the routed delta path toward the
-    // target: halve k when applying deltas is cheap relative to walking,
-    // double it when expensive. Multiplicative updates keep the controller
-    // stable under noisy timers.
-    const double total = walk_seconds + last_apply_seconds_;
-    if (total > 0.0) {
-      const double fraction = last_apply_seconds_ / total;
-      if (fraction < options_.target_eval_fraction / 2.0) {
-        steps_per_sample_ = std::max(options_.min_steps_per_sample,
-                                     steps_per_sample_ / 2);
-      } else if (fraction > options_.target_eval_fraction * 2.0) {
-        steps_per_sample_ = std::min(options_.max_steps_per_sample,
-                                     steps_per_sample_ * 2);
-      }
-    }
-  }
-}
-
-std::vector<Tuple> MaterializedQueryEvaluator::CurrentAnswerSet() const {
-  std::vector<Tuple> distinct;
-  view_.contents().ForEach(
-      [&](const Tuple& t, int64_t) { distinct.push_back(t); });
-  return distinct;
 }
 
 }  // namespace pdb

@@ -44,7 +44,11 @@ struct ShardPlan {
   /// build their own set, against their own COW snapshot). Must confine its
   /// proposals to the variables of `shard`'s part; with a single-shard plan
   /// (including every locality fallback) it is invoked only with shard 0
-  /// and must cover the whole world.
+  /// and must cover the whole world. A proposal it returns may borrow
+  /// state the factory owns (ie::BuildDocumentShardPlan's proposals point
+  /// into document lists its closure holds), so whoever keeps a proposal
+  /// must keep a copy of the factory alive as long as the proposal;
+  /// SharedChainEvaluator::EnableSharding does.
   using ProposalFactory = std::function<std::unique_ptr<infer::Proposal>(
       ProbabilisticDatabase&, size_t shard)>;
 

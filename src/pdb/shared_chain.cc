@@ -45,10 +45,11 @@ void SharedChainEvaluator::EnableSharding(const ShardPlan& plan,
   FGPDB_CHECK(runner_ == nullptr);
   FGPDB_CHECK(plan.has_plan()) << "ShardPlan has no proposal factory";
   FGPDB_CHECK_GT(plan.num_shards, 0u);
+  make_shard_proposal_ = plan.make_proposal;
   std::vector<std::unique_ptr<infer::Proposal>> proposals;
   proposals.reserve(plan.num_shards);
   for (size_t s = 0; s < plan.num_shards; ++s) {
-    proposals.push_back(plan.make_proposal(*pdb_, s));
+    proposals.push_back(make_shard_proposal_(*pdb_, s));
   }
   runner_ = std::make_unique<infer::ShardRunner>(
       pdb_->model(), &pdb_->world(), std::move(proposals), plan.partition,
@@ -234,9 +235,10 @@ void SharedChainEvaluator::DrawSample() {
   }
 
   if (options_.adaptive_thinning) {
-    // Same multiplicative controller as the single-query evaluator, fed by
-    // the fanned-out apply cost: halve k when the delta path is cheap
-    // relative to walking, double it when expensive.
+    // Steer the per-sample share of the routed delta path toward the
+    // target, fed by the fanned-out apply cost: halve k when applying
+    // deltas is cheap relative to walking, double it when expensive.
+    // Multiplicative updates keep the controller stable under noisy timers.
     const double total = walk_seconds + last_apply_seconds_;
     if (total > 0.0) {
       const double fraction = last_apply_seconds_ / total;

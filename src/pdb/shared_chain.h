@@ -8,12 +8,14 @@
 // whose base tables were untouched this round is skipped outright via the
 // chain-level union subscription map.
 //
-// SharedChainEvaluator generalizes MaterializedQueryEvaluator /
-// NaiveQueryEvaluator (query_evaluator.h) from one plan to a set of plans;
-// with a single query its per-sample schedule — and therefore its answer —
-// is bitwise-identical to the single-query evaluators at a fixed seed. It
-// is the engine under both api::Session (the public front door) and the
-// parallel evaluator's per-chain bodies.
+// SharedChainEvaluator is the one query evaluator: `materialized` picks
+// Algorithm 1 (query once, then maintain each answer through the Δ−/Δ+
+// sets with the Eq. 6 rewrites — several orders of magnitude faster at
+// scale, §5.3) or Algorithm 3 (the full query over every sampled world, the
+// paper's baseline). It is stepwise (Initialize + DrawSample), so callers
+// can record loss-versus-time series the way the paper's figures are
+// measured, and it is the engine under both api::Session (the public front
+// door) and the parallel evaluator's per-chain bodies.
 #ifndef FGPDB_PDB_SHARED_CHAIN_H_
 #define FGPDB_PDB_SHARED_CHAIN_H_
 
@@ -22,11 +24,15 @@
 #include <unordered_map>
 #include <vector>
 
+#include "infer/metropolis_hastings.h"
 #include "infer/shard_runner.h"
 #include "pdb/convergence_stats.h"
+#include "pdb/probabilistic_database.h"
 #include "pdb/query_evaluator.h"
 #include "pdb/shard_plan.h"
+#include "ra/plan.h"
 #include "util/logging.h"
+#include "view/incremental.h"
 
 namespace fgpdb {
 namespace pdb {
@@ -51,6 +57,8 @@ class SharedChainEvaluator {
   /// serial chain bitwise (same RNG stream, same assignment stream, and
   /// the row-granular accumulator depends only on stream order — deferred
   /// per-interval mirroring coalesces identically to per-flush mirroring).
+  /// The evaluator keeps its own copy of `plan.make_proposal`, because the
+  /// shard proposals may borrow from it; `plan` itself may be a temporary.
   void EnableSharding(const ShardPlan& plan, ShardedExecution exec = {});
 
   /// Registers a query; returns its slot index. Callable before or after
@@ -207,6 +215,9 @@ class SharedChainEvaluator {
   std::unique_ptr<infer::MetropolisHastings> sampler_;
   /// Sharded execution (EnableSharding); null on the serial path.
   std::unique_ptr<infer::ShardRunner> runner_;
+  /// The plan's proposal factory, kept alive beside the shard proposals it
+  /// built: they may point into state its closure owns.
+  ShardPlan::ProposalFactory make_shard_proposal_;
   uint64_t steps_per_sample_;
   // Reused every interval: TakeDeltas recycles its table buckets.
   view::DeltaSet delta_buf_;

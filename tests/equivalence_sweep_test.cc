@@ -1,7 +1,7 @@
 // Cross-seed, cross-query equivalence sweep: the repository's strongest
 // end-to-end property. For every (corpus seed × paper query), the
-// materialized evaluator (Alg. 1) must produce exactly the marginals the
-// naive evaluator (Alg. 3) produces on the same chain — across different
+// materialized path (Alg. 1) must produce exactly the marginals the naive
+// path (Alg. 3) produces on the same chain — across different
 // proposal kernels, including the BIO-constrained one.
 #include <gtest/gtest.h>
 
@@ -11,7 +11,7 @@
 #include "ie/queries.h"
 #include "ie/skip_chain_model.h"
 #include "ie/token_pdb.h"
-#include "pdb/query_evaluator.h"
+#include "pdb/shared_chain.h"
 #include "sql/binder.h"
 
 namespace fgpdb {
@@ -57,13 +57,15 @@ TEST_P(EquivalenceSweep, NaiveEqualsMaterializedOnIdenticalChains) {
       .steps_per_sample = 400,
       .burn_in = 800,
       .seed = 1000 + static_cast<uint64_t>(seed)};
-  pdb::NaiveQueryEvaluator naive(world_a.get(), proposal_a.get(),
-                                 plan_a.get(), options);
-  pdb::MaterializedQueryEvaluator materialized(world_b.get(), proposal_b.get(),
-                                               plan_b.get(), options);
+  pdb::SharedChainEvaluator naive(world_a.get(), proposal_a.get(), options,
+                                  /*materialized=*/false);
+  pdb::SharedChainEvaluator materialized(world_b.get(), proposal_b.get(),
+                                         options);
+  naive.AddQuery(plan_a.get());
+  materialized.AddQuery(plan_b.get());
   naive.Run(25);
   materialized.Run(25);
-  EXPECT_EQ(naive.answer().SquaredError(materialized.answer()), 0.0)
+  EXPECT_EQ(naive.answer(0).SquaredError(materialized.answer(0)), 0.0)
       << "query " << query << " seed " << seed << " bio=" << bio_kernel;
 }
 

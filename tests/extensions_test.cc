@@ -17,6 +17,7 @@
 #include "infer/diagnostics.h"
 #include "infer/metropolis_hastings.h"
 #include "pdb/aggregate_distribution.h"
+#include "pdb/shared_chain.h"
 #include "storage/csv_io.h"
 #include "test_helpers.h"
 #include "util/rng.h"
@@ -289,8 +290,8 @@ TEST(AdaptiveThinningTest, KAdjustsTowardTargetEvalFraction) {
   options.steps_per_sample = 1 << 20;
   options.adaptive_thinning = true;
   options.target_eval_fraction = 0.25;
-  pdb::MaterializedQueryEvaluator evaluator(tokens.pdb.get(), &proposal,
-                                            plan.get(), options);
+  pdb::SharedChainEvaluator evaluator(tokens.pdb.get(), &proposal, options);
+  evaluator.AddQuery(plan.get());
   evaluator.Run(25);
   EXPECT_LT(evaluator.steps_per_sample(), options.steps_per_sample / 8)
       << "adaptive controller should have shrunk k";
@@ -306,8 +307,9 @@ TEST(AdaptiveThinningTest, DisabledKeepsKFixed) {
   tokens.pdb->set_model(&model);
   ra::PlanPtr plan = sql::PlanQuery(ie::kQuery1, tokens.pdb->db());
   ie::DocumentBatchProposal proposal(&tokens.docs);
-  pdb::MaterializedQueryEvaluator evaluator(
-      tokens.pdb.get(), &proposal, plan.get(), {.steps_per_sample = 500});
+  pdb::SharedChainEvaluator evaluator(tokens.pdb.get(), &proposal,
+                                      {.steps_per_sample = 500});
+  evaluator.AddQuery(plan.get());
   evaluator.Run(10);
   EXPECT_EQ(evaluator.steps_per_sample(), 500u);
 }

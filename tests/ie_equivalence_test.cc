@@ -8,6 +8,7 @@
 
 #include "factor/factor_graph.h"
 #include "ie/corpus.h"
+#include "ie/labels.h"
 #include "ie/ner_proposal.h"
 #include "ie/skip_chain_model.h"
 #include "ie/token_pdb.h"
@@ -70,13 +71,22 @@ struct SmallDoc {
   ie::TokenPdb tokens;
   std::unique_ptr<ie::SkipChainNerModel> model;
 
-  explicit SmallDoc(size_t num_tokens, uint64_t seed = 23) {
+  /// `repeat_capitalized` rewrites the second and the last token to the
+  /// same capitalized string, so the document is sure to carry a skip edge.
+  explicit SmallDoc(size_t num_tokens, uint64_t seed = 23,
+                    bool repeat_capitalized = false) {
     // One small document so exact inference stays feasible.
     ie::SyntheticCorpus corpus = ie::GenerateCorpus(
         {.num_tokens = 1, .tokens_per_doc = 2 * num_tokens, .seed = seed});
     corpus.tokens.resize(std::min(corpus.tokens.size(), num_tokens));
     corpus.doc_ranges = {{0, corpus.tokens.size()}};
     corpus.num_docs = 1;
+    if (repeat_capitalized) {
+      for (const size_t i : {size_t{1}, corpus.tokens.size() - 1}) {
+        corpus.tokens[i].text = ie::kBostonString;
+        corpus.tokens[i].truth_label = ie::LabelIndex("B-LOC");
+      }
+    }
     tokens = ie::BuildTokenPdb(corpus);
     model = std::make_unique<ie::SkipChainNerModel>(tokens);
     model->InitializeFromCorpusStatistics(tokens, /*skip_weight=*/0.8,
@@ -149,9 +159,7 @@ TEST(ModelUnrollingTest, SkipEdgesCoupleLabels) {
   // The defining skip-chain behaviour: identical strings in a document pull
   // each other toward the same label. Compare the exact probability of
   // same-label configurations with and without skip factors.
-  SmallDoc doc(6, /*seed=*/101);
-  // Find a skip pair; if none, the corpus slice had no repeats — make one
-  // artificially impossible: the test corpus is chosen to contain repeats.
+  SmallDoc doc(6, /*seed=*/101, /*repeat_capitalized=*/true);
   factor::VarId a = 0, b = 0;
   bool found = false;
   for (size_t v = 0; v < doc.tokens.num_tokens() && !found; ++v) {
@@ -163,9 +171,8 @@ TEST(ModelUnrollingTest, SkipEdgesCoupleLabels) {
       found = true;
     }
   }
-  if (!found) {
-    GTEST_SKIP() << "corpus slice has no repeated capitalized strings";
-  }
+  ASSERT_TRUE(found)
+      << "the repeated capitalized string must yield a skip edge";
   auto same_label_probability = [&](bool use_skip) {
     ie::SkipChainNerModel model(doc.tokens, {.use_skip_edges = use_skip});
     model.parameters() = doc.model->parameters();

@@ -8,6 +8,8 @@
 //     merge discipline),
 //   * locality fallback — a cross-partition model (EntityResolutionModel)
 //     refuses sharding and degrades to the exact single-shard plan,
+//   * plan lifetime — a chain sharded from a temporary plan keeps the
+//     proposal factory its shard proposals borrow from,
 //   * concurrent shard stepping under TSan (this suite runs in the
 //     FGPDB_SANITIZE=thread CI leg via the ShardedInference name).
 #include <gtest/gtest.h>
@@ -26,6 +28,8 @@
 #include "infer/shard_runner.h"
 #include "pdb/probabilistic_database.h"
 #include "pdb/shard_plan.h"
+#include "pdb/shared_chain.h"
+#include "sql/binder.h"
 
 namespace fgpdb {
 namespace {
@@ -368,6 +372,37 @@ TEST(ShardedInferenceTest, ShardedHotBlockLayoutBitwiseParity) {
     ExpectBitwiseEqual(plain[q], shadowed[q], "shadow-off vs shadow-on");
     ExpectBitwiseEqual(shadowed_again[q], shadowed[q], "shadowed re-run");
   }
+}
+
+// The shard proposals borrow their document lists from the plan's proposal
+// factory, so a chain sharded from a temporary plan must keep that factory
+// alive itself: it has to answer bitwise like the same chain sharded from a
+// plan that outlives it. A dangling borrow shows as a use-after-free under
+// FGPDB_SANITIZE=address.
+TEST(ShardedInferenceTest, TemporaryPlanMatchesLongLivedPlanBitwise) {
+  NerFixture fixture(480);
+  auto run = [&fixture](bool temporary_plan) {
+    auto world = fixture.tokens.pdb->Snapshot();
+    ra::PlanPtr plan = sql::PlanQuery(ie::kQuery1, world->db());
+    const pdb::ShardPlan long_lived = fixture.MakePlan(4);
+    pdb::SharedChainEvaluator chain(
+        world.get(), /*proposal=*/nullptr,
+        {.steps_per_sample = 300, .burn_in = 600, .seed = 41});
+    const pdb::ShardedExecution sequential{.use_threads = false};
+    if (temporary_plan) {
+      chain.EnableSharding(fixture.MakePlan(4), sequential);
+    } else {
+      chain.EnableSharding(long_lived, sequential);
+    }
+    EXPECT_EQ(chain.num_shards(), 4u);
+    chain.AddQuery(plan.get());
+    chain.Run(12);
+    return chain.answer(0);
+  };
+  const pdb::QueryAnswer long_lived = run(/*temporary_plan=*/false);
+  const pdb::QueryAnswer temporary = run(/*temporary_plan=*/true);
+  EXPECT_EQ(temporary.num_samples(), 12u);
+  ExpectBitwiseEqual(temporary, long_lived, "temporary vs long-lived plan");
 }
 
 TEST(ShardedInferenceTest, ConcurrentShardSteppingIsRaceFree) {

@@ -16,7 +16,7 @@
 #include "infer/marginal_estimator.h"
 #include "infer/metropolis_hastings.h"
 #include "learn/samplerank.h"
-#include "pdb/query_evaluator.h"
+#include "pdb/shared_chain.h"
 #include "sql/binder.h"
 
 namespace fgpdb {
@@ -43,9 +43,10 @@ TEST(IntegrationTest, TrainedPipelineAnswersQuery1Accurately) {
   ra::PlanPtr plan = sql::PlanQuery(ie::kQuery1, tokens.pdb->db());
   ie::DocumentBatchProposal proposal(&tokens.docs,
                                      {.proposals_per_batch = 800});
-  pdb::MaterializedQueryEvaluator evaluator(
-      tokens.pdb.get(), &proposal, plan.get(),
+  pdb::SharedChainEvaluator evaluator(
+      tokens.pdb.get(), &proposal,
       {.steps_per_sample = 1000, .burn_in = 30000, .seed = 23});
+  evaluator.AddQuery(plan.get());
   evaluator.Run(150);
 
   // 4. Strings that are truly always B-PER should have high marginals;
@@ -60,7 +61,7 @@ TEST(IntegrationTest, TrainedPipelineAnswersQuery1Accurately) {
   int always_per_n = 0;
   double never_per_mass = 0.0;
   int never_per_n = 0;
-  for (const auto& [tuple, p] : evaluator.answer().Sorted()) {
+  for (const auto& [tuple, p] : evaluator.answer(0).Sorted()) {
     const std::string& text = tuple.at(0).AsString();
     const auto it = truth_counts.find(text);
     ASSERT_NE(it, truth_counts.end());
@@ -184,12 +185,13 @@ TEST(IntegrationTest, AggregateAnswerDistributionIsPeaked) {
   tokens.pdb->set_model(&model);
   ra::PlanPtr plan = sql::PlanQuery(ie::kQuery2, tokens.pdb->db());
   ie::DocumentBatchProposal proposal(&tokens.docs);
-  pdb::MaterializedQueryEvaluator evaluator(
-      tokens.pdb.get(), &proposal, plan.get(),
+  pdb::SharedChainEvaluator evaluator(
+      tokens.pdb.get(), &proposal,
       {.steps_per_sample = 500, .burn_in = 40000, .seed = 97});
+  evaluator.AddQuery(plan.get());
   evaluator.Run(400);
   // Mass within ±10% of the mean count should dominate.
-  const auto answer = evaluator.answer().Sorted();
+  const auto answer = evaluator.answer(0).Sorted();
   double mean = 0.0;
   for (const auto& [tuple, p] : answer) mean += tuple.at(0).AsNumeric() * p;
   double near_mass = 0.0, total_mass = 0.0;

@@ -1,6 +1,6 @@
 // Algorithm 1 vs Algorithm 3: with the same chain (same seed/proposal),
-// the materialized evaluator must produce byte-identical marginals to the
-// naive evaluator — the paper's Fig. 4 premise ("the two approaches
+// the materialized path must produce byte-identical marginals to the
+// naive path — the paper's Fig. 4 premise ("the two approaches
 // generate the same set of samples"). The Query 1–4 harness runs through
 // api::Session, expressing the comparison as an execution-policy swap
 // (serial = Alg. 1 views, naive = Alg. 3) on the unified front door.
@@ -12,7 +12,7 @@
 #include "ie/queries.h"
 #include "ie/skip_chain_model.h"
 #include "ie/token_pdb.h"
-#include "pdb/query_evaluator.h"
+#include "pdb/shared_chain.h"
 #include "sql/binder.h"
 
 namespace fgpdb {
@@ -134,13 +134,14 @@ TEST(EvaluatorTest, AnswersConvergeWithMoreSamples) {
   ra::PlanPtr plan = sql::PlanQuery(ie::kQuery1, fixture.tokens.pdb->db());
   ie::DocumentBatchProposal proposal(&fixture.tokens.docs,
                                      {.proposals_per_batch = 400});
-  pdb::MaterializedQueryEvaluator evaluator(
-      fixture.tokens.pdb.get(), &proposal, plan.get(),
+  pdb::SharedChainEvaluator evaluator(
+      fixture.tokens.pdb.get(), &proposal,
       {.steps_per_sample = 200, .burn_in = 4000, .seed = 3});
+  evaluator.AddQuery(plan.get());
   evaluator.Run(300);
   // At least one person-name string should be (nearly) always in the answer.
   double best = 0.0;
-  for (const auto& [tuple, p] : evaluator.answer().Sorted()) {
+  for (const auto& [tuple, p] : evaluator.answer(0).Sorted()) {
     (void)tuple;
     best = std::max(best, p);
   }
@@ -155,14 +156,17 @@ TEST(EvaluatorTest, CurrentAnswerSetMatchesBetweenEvaluators) {
   ra::PlanPtr plan_b = sql::PlanQuery(ie::kQuery1, world_b->db());
   ie::DocumentBatchProposal pa(&fixture.tokens.docs);
   ie::DocumentBatchProposal pb(&fixture.tokens.docs);
-  pdb::NaiveQueryEvaluator naive(world_a.get(), &pa, plan_a.get(),
-                                 {.steps_per_sample = 100, .seed = 5});
-  pdb::MaterializedQueryEvaluator mat(world_b.get(), &pb, plan_b.get(),
-                                      {.steps_per_sample = 100, .seed = 5});
+  pdb::SharedChainEvaluator naive(world_a.get(), &pa,
+                                  {.steps_per_sample = 100, .seed = 5},
+                                  /*materialized=*/false);
+  pdb::SharedChainEvaluator mat(world_b.get(), &pb,
+                                {.steps_per_sample = 100, .seed = 5});
+  naive.AddQuery(plan_a.get());
+  mat.AddQuery(plan_b.get());
   naive.Run(5);
   mat.Run(5);
-  auto sa = naive.CurrentAnswerSet();
-  auto sb = mat.CurrentAnswerSet();
+  auto sa = naive.CurrentAnswerSet(0);
+  auto sb = mat.CurrentAnswerSet(0);
   std::sort(sa.begin(), sa.end());
   std::sort(sb.begin(), sb.end());
   EXPECT_EQ(sa, sb);

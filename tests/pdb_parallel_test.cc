@@ -32,6 +32,12 @@ struct ParallelFixture {
           &tokens.docs, ie::NerProposalOptions{.proposals_per_batch = 300});
     };
   }
+  /// One plan through the parallel evaluator: its merged answer.
+  QueryAnswer Evaluate(const ra::PlanNode& plan,
+                       const ParallelOptions& options) {
+    return EvaluateParallelMulti(*tokens.pdb, {&plan}, MakeFactory(), options)
+        .answers[0];
+  }
 };
 
 TEST(ParallelEvaluatorTest, MergedSampleCountIsSumOfChains) {
@@ -41,8 +47,7 @@ TEST(ParallelEvaluatorTest, MergedSampleCountIsSumOfChains) {
   options.num_chains = 3;
   options.samples_per_chain = 10;
   options.chain_options = {.steps_per_sample = 200, .burn_in = 500, .seed = 1};
-  const QueryAnswer answer = EvaluateParallel(*fixture.tokens.pdb, *plan,
-                                              fixture.MakeFactory(), options);
+  const QueryAnswer answer = fixture.Evaluate(*plan, options);
   EXPECT_EQ(answer.num_samples(), 30u);
 }
 
@@ -56,11 +61,9 @@ TEST(ParallelEvaluatorTest, ThreadedAndSequentialAgree) {
   options.samples_per_chain = 8;
   options.chain_options = {.steps_per_sample = 150, .burn_in = 300, .seed = 2};
   options.use_threads = true;
-  const QueryAnswer threaded = EvaluateParallel(*fixture.tokens.pdb, *plan,
-                                                fixture.MakeFactory(), options);
+  const QueryAnswer threaded = fixture.Evaluate(*plan, options);
   options.use_threads = false;
-  const QueryAnswer sequential = EvaluateParallel(
-      *fixture.tokens.pdb, *plan, fixture.MakeFactory(), options);
+  const QueryAnswer sequential = fixture.Evaluate(*plan, options);
   EXPECT_EQ(threaded.SquaredError(sequential), 0.0);
 }
 
@@ -75,12 +78,10 @@ TEST(ParallelEvaluatorTest, ChainsBeyondCoreCountQueueOnThePool) {
   options.samples_per_chain = 4;
   options.chain_options = {.steps_per_sample = 100, .burn_in = 100, .seed = 7};
   options.use_threads = true;
-  const QueryAnswer threaded = EvaluateParallel(*fixture.tokens.pdb, *plan,
-                                                fixture.MakeFactory(), options);
+  const QueryAnswer threaded = fixture.Evaluate(*plan, options);
   EXPECT_EQ(threaded.num_samples(), 64u);
   options.use_threads = false;
-  const QueryAnswer sequential = EvaluateParallel(
-      *fixture.tokens.pdb, *plan, fixture.MakeFactory(), options);
+  const QueryAnswer sequential = fixture.Evaluate(*plan, options);
   EXPECT_EQ(threaded.SquaredError(sequential), 0.0);
   EXPECT_EQ(threaded.Sorted(), sequential.Sorted());
 }
@@ -96,11 +97,9 @@ TEST(ParallelEvaluatorTest, ExplicitThreadCapIsHonoredAndStable) {
   options.chain_options = {.steps_per_sample = 120, .burn_in = 120, .seed = 11};
   options.use_threads = true;
   options.max_threads = 2;
-  const QueryAnswer capped = EvaluateParallel(*fixture.tokens.pdb, *plan,
-                                              fixture.MakeFactory(), options);
+  const QueryAnswer capped = fixture.Evaluate(*plan, options);
   options.use_threads = false;
-  const QueryAnswer sequential = EvaluateParallel(
-      *fixture.tokens.pdb, *plan, fixture.MakeFactory(), options);
+  const QueryAnswer sequential = fixture.Evaluate(*plan, options);
   EXPECT_EQ(capped.num_samples(), 30u);
   EXPECT_EQ(capped.SquaredError(sequential), 0.0);
 }
@@ -116,7 +115,7 @@ TEST(ParallelEvaluatorTest, BaseWorldIsUntouchedByChains) {
   options.num_chains = 4;
   options.samples_per_chain = 5;
   options.chain_options = {.steps_per_sample = 100, .burn_in = 100, .seed = 5};
-  EvaluateParallel(*fixture.tokens.pdb, *plan, fixture.MakeFactory(), options);
+  fixture.Evaluate(*plan, options);
   const std::vector<Tuple> after =
       fixture.tokens.pdb->db().RequireTable(ie::kTokenTable)->Rows();
   EXPECT_EQ(before, after);
@@ -135,8 +134,7 @@ TEST(ParallelEvaluatorTest, MoreChainsReduceError) {
   ref_options.chain_options = {.steps_per_sample = 200, .burn_in = 2000,
                                .seed = 777};
   ref_options.use_threads = false;
-  const QueryAnswer reference = EvaluateParallel(
-      *fixture.tokens.pdb, *plan, fixture.MakeFactory(), ref_options);
+  const QueryAnswer reference = fixture.Evaluate(*plan, ref_options);
 
   auto error_with_chains = [&](size_t chains, uint64_t seed) {
     ParallelOptions options;
@@ -145,8 +143,7 @@ TEST(ParallelEvaluatorTest, MoreChainsReduceError) {
     options.chain_options = {.steps_per_sample = 200, .burn_in = 200,
                              .seed = seed};
     options.use_threads = false;
-    const QueryAnswer answer = EvaluateParallel(
-        *fixture.tokens.pdb, *plan, fixture.MakeFactory(), options);
+    const QueryAnswer answer = fixture.Evaluate(*plan, options);
     return answer.SquaredError(reference);
   };
 
@@ -157,23 +154,6 @@ TEST(ParallelEvaluatorTest, MoreChainsReduceError) {
     err8 += error_with_chains(8, 200 + s);
   }
   EXPECT_LT(err8, err1);
-}
-
-TEST(ParallelEvaluatorTest, NaivePathProducesSameAnswersAsMaterialized) {
-  ParallelFixture fixture;
-  ra::PlanPtr plan = sql::PlanQuery(ie::kQuery2, fixture.tokens.pdb->db());
-  ParallelOptions options;
-  options.num_chains = 2;
-  options.samples_per_chain = 6;
-  options.chain_options = {.steps_per_sample = 100, .burn_in = 100, .seed = 3};
-  options.use_threads = false;
-  options.materialized = true;
-  const QueryAnswer mat = EvaluateParallel(*fixture.tokens.pdb, *plan,
-                                           fixture.MakeFactory(), options);
-  options.materialized = false;
-  const QueryAnswer naive = EvaluateParallel(*fixture.tokens.pdb, *plan,
-                                             fixture.MakeFactory(), options);
-  EXPECT_EQ(mat.SquaredError(naive), 0.0);
 }
 
 }  // namespace
